@@ -3,9 +3,9 @@
 //! Runs the guided search (Algorithm 2, top-K = 11) once on the
 //! sequential path (`threads = 1`) and once on the parallel path
 //! (`threads = 0`, every available core) for each Table VIII chain,
-//! verifies the two runs produce identical winning plans and top-K
-//! orders, and writes a machine-readable record so future changes have a
-//! perf trajectory to regress against:
+//! verifies the two runs produce identical winning plans, top-K orders
+//! and `feasible` counts, and writes a machine-readable record so
+//! future changes have a perf trajectory to regress against:
 //!
 //! * per chain: candidates enumerated / considered / feasible /
 //!   prefiltered, candidates per second, sequential vs parallel
@@ -114,6 +114,12 @@ fn main() {
         assert!(
             identical,
             "{}: parallel top-K diverged from sequential — determinism bug",
+            w.id
+        );
+        assert_eq!(
+            seq.stats().feasible,
+            par.stats().feasible,
+            "{}: the feasible count must not depend on the thread count",
             w.id
         );
         let record = ChainRecord {

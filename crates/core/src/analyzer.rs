@@ -295,95 +295,23 @@ impl DataflowAnalyzer {
         tile: BlockTile,
         geometry: PlanGeometry,
     ) -> Result<DataflowAnalysis, AnalysisError> {
-        if geometry.needs_inter_cluster_reduce() && !self.allow_inter_cluster_reduce {
-            return Err(AnalysisError::InterClusterReduceUnavailable);
-        }
-
-        // Rule 3 (temporal face): a temporal K must be innermost, else the
-        // activation between the GEMMs would consume partial sums.
-        if !schedule.is_spatial(Dim::K) && schedule.innermost_temporal() != Some(Dim::K) {
-            return Err(AnalysisError::KNotInnermost);
-        }
-
+        let Admission {
+            tile_footprint,
+            c_strip_order,
+            strip_kind,
+            strip_footprint,
+            reuse_passes,
+        } = self.admit(chain, schedule, cluster, tile, &geometry)?;
         let gated = chain.kind().is_gated();
         let branches: u64 = if gated { 2 } else { 1 };
-
-        // --- Register accumulators (f32). --------------------------------
-        let c_accum = (tile.m * tile.n) as u64 * 4;
-        let e_accum = (tile.m * tile.l) as u64 * 4;
-        let reg_needed = c_accum.max(e_accum);
-        if reg_needed > self.params.reg_bytes_per_sm() {
-            return Err(AnalysisError::AccumulatorTooLarge {
-                required: reg_needed,
-                available: self.params.reg_bytes_per_sm(),
-            });
-        }
-
-        // --- Streaming working set in SMEM (double-buffered stages). -----
-        let smem_working = 2
-            * (tile.a_tile_bytes() + branches * tile.b_tile_bytes() + tile.d_tile_bytes())
-            + 2 * tile.c_tile_bytes();
-        if smem_working > self.params.smem_bytes_per_sm() {
-            return Err(AnalysisError::WorkingSetTooLarge {
-                required: smem_working,
-                available: self.params.smem_bytes_per_sm(),
-            });
-        }
-
-        // --- Reused strip footprint (Fig. 9). -----------------------------
+        let attention = chain.kind().is_attention();
         let trips_n = geometry.trips(Dim::N) as u64;
         let trips_l = geometry.trips(Dim::L) as u64;
         let trips_m = geometry.trips(Dim::M) as u64;
         let trips_k = geometry.trips(Dim::K) as u64;
-        let c_strip_order = !schedule.is_spatial(Dim::N)
-            && !schedule.is_spatial(Dim::L)
-            && schedule.is_outer(Dim::L, Dim::N);
-        let (strip_kind, strip_footprint, reuse_passes) = if c_strip_order {
-            // L outer: hold the C strip, re-read it on every L trip.
-            (StripKind::CStrip, trips_n * tile.c_tile_bytes(), trips_l)
-        } else {
-            // N outer (or spatial): accumulate the E strip across N trips.
-            let footprint = if trips_n > 1 {
-                trips_l * tile.e_tile_bytes()
-            } else {
-                tile.e_tile_bytes()
-            };
-            (StripKind::EStrip, footprint, 2 * trips_n - 1)
-        };
-
-        // Attention's rowwise softmax reads *complete* score rows, so a
-        // fused plan must materialise the whole C strip of a block-row
-        // before GEMM1 starts: only the C-strip order qualifies, and the
-        // full N extent must live inside one cluster (a spatial N grid
-        // would split rows across clusters with no DSM path between
-        // them).
-        let attention = chain.kind().is_attention();
-        if attention && (!c_strip_order || geometry.grid(Dim::N) > 1) {
-            return Err(AnalysisError::AttentionNeedsCStrip);
-        }
 
         // --- Greedy placement (Algorithm 1 lines 15-23). ------------------
-        let free_smem = self.params.smem_bytes_per_sm() - smem_working;
-        let free_reg = self.params.reg_bytes_per_sm() - reg_needed;
-        let peer_blocks = cluster.blocks().saturating_sub(1) as u64;
-        // The pool one peer contributes over the fabric is its Cluster-
-        // tier window minus its own working set (peers run the same
-        // kernel). On machines where the window is the peer's whole
-        // scratchpad (H100) this is exactly the peer's free SMEM.
-        let peer_free = self
-            .params
-            .capacity(MemLevel::Dsm)
-            .saturating_sub(smem_working);
-        let mut budget = BTreeMap::from([
-            (MemLevel::Reg, free_reg),
-            (MemLevel::Smem, free_smem),
-            // The DSM pool is the aggregated free window of the peer
-            // blocks in the cluster. Strips of peer blocks are disjoint
-            // slices of the same logical tensor, so per-block accounting
-            // against the peer pool does not double-count (see DESIGN.md).
-            (MemLevel::Dsm, peer_blocks * peer_free),
-            (MemLevel::Global, u64::MAX),
-        ]);
+        let mut budget = BTreeMap::from(self.strip_budget(cluster, tile_footprint));
         let mut mapping = ResourceMapping::new();
         mapping.insert(
             TensorRole::A,
@@ -408,10 +336,7 @@ impl DataflowAnalyzer {
             StripKind::EStrip => TensorRole::EStrip,
         };
         let strip_mapping = TensorMapping::greedy(strip_footprint, &mut budget, self.lowest_spill)
-            .ok_or(AnalysisError::StripDoesNotFit {
-                footprint: strip_footprint,
-                lowest: self.lowest_spill,
-            })?;
+            .expect("admit checked the strip fits the same budget");
         mapping.insert(strip_role, strip_mapping.clone());
 
         // --- Global tile traffic (multicast-deduplicated). ----------------
@@ -521,11 +446,180 @@ impl DataflowAnalyzer {
             volumes,
             strip_kind,
             strip_footprint,
-            smem_working,
+            smem_working: tile_footprint.smem_working,
             dsm_steps,
             barriers,
         })
     }
+
+    /// Rule 5's tile-only faces: the f32 register accumulators and the
+    /// double-buffered SMEM working set of one block. Depends on the
+    /// tile alone, so the search walk runs it once per tile and skips
+    /// every cluster and schedule of a tile that fails.
+    ///
+    /// # Errors
+    ///
+    /// [`AnalysisError::AccumulatorTooLarge`] or
+    /// [`AnalysisError::WorkingSetTooLarge`].
+    pub(crate) fn check_tile(
+        &self,
+        chain: &ChainSpec,
+        tile: BlockTile,
+    ) -> Result<TileFootprint, AnalysisError> {
+        let branches: u64 = if chain.kind().is_gated() { 2 } else { 1 };
+        let reg_bytes = ((tile.m * tile.n) as u64 * 4).max((tile.m * tile.l) as u64 * 4);
+        if reg_bytes > self.params.reg_bytes_per_sm() {
+            return Err(AnalysisError::AccumulatorTooLarge {
+                required: reg_bytes,
+                available: self.params.reg_bytes_per_sm(),
+            });
+        }
+        let smem_working = 2
+            * (tile.a_tile_bytes() + branches * tile.b_tile_bytes() + tile.d_tile_bytes())
+            + 2 * tile.c_tile_bytes();
+        if smem_working > self.params.smem_bytes_per_sm() {
+            return Err(AnalysisError::WorkingSetTooLarge {
+                required: smem_working,
+                available: self.params.smem_bytes_per_sm(),
+            });
+        }
+        Ok(TileFootprint {
+            reg_bytes,
+            smem_working,
+        })
+    }
+
+    /// The admissibility check: every condition on which
+    /// [`DataflowAnalyzer::analyze_with_geometry`] rejects a candidate
+    /// whose geometry derived (Rules 3–5, the inter-cluster-reduce and
+    /// attention constraints), without allocating. `analyze_with_geometry`
+    /// runs exactly this check first, so `admit(..).is_ok()` and
+    /// `analyze(..).is_ok()` agree on every candidate by construction.
+    ///
+    /// # Errors
+    ///
+    /// The [`AnalysisError`] `analyze_with_geometry` would return.
+    pub fn admit(
+        &self,
+        chain: &ChainSpec,
+        schedule: &LoopSchedule,
+        cluster: ClusterShape,
+        tile: BlockTile,
+        geometry: &PlanGeometry,
+    ) -> Result<Admission, AnalysisError> {
+        if geometry.needs_inter_cluster_reduce() && !self.allow_inter_cluster_reduce {
+            return Err(AnalysisError::InterClusterReduceUnavailable);
+        }
+
+        // Rule 3 (temporal face): a temporal K must be innermost, else the
+        // activation between the GEMMs would consume partial sums.
+        if !schedule.is_spatial(Dim::K) && schedule.innermost_temporal() != Some(Dim::K) {
+            return Err(AnalysisError::KNotInnermost);
+        }
+
+        let tile_footprint = self.check_tile(chain, tile)?;
+
+        // --- Reused strip footprint (Fig. 9). -----------------------------
+        let trips_n = geometry.trips(Dim::N) as u64;
+        let trips_l = geometry.trips(Dim::L) as u64;
+        let c_strip_order = !schedule.is_spatial(Dim::N)
+            && !schedule.is_spatial(Dim::L)
+            && schedule.is_outer(Dim::L, Dim::N);
+        let (strip_kind, strip_footprint, reuse_passes) = if c_strip_order {
+            // L outer: hold the C strip, re-read it on every L trip.
+            (StripKind::CStrip, trips_n * tile.c_tile_bytes(), trips_l)
+        } else {
+            // N outer (or spatial): accumulate the E strip across N trips.
+            let footprint = if trips_n > 1 {
+                trips_l * tile.e_tile_bytes()
+            } else {
+                tile.e_tile_bytes()
+            };
+            (StripKind::EStrip, footprint, 2 * trips_n - 1)
+        };
+
+        // Attention's rowwise softmax reads *complete* score rows, so a
+        // fused plan must materialise the whole C strip of a block-row
+        // before GEMM1 starts: only the C-strip order qualifies, and the
+        // full N extent must live inside one cluster (a spatial N grid
+        // would split rows across clusters with no DSM path between
+        // them).
+        if chain.kind().is_attention() && (!c_strip_order || geometry.grid(Dim::N) > 1) {
+            return Err(AnalysisError::AttentionNeedsCStrip);
+        }
+
+        // Rule 5 (strip face): the greedy placement succeeds exactly when
+        // the tiers it may use hold the whole footprint.
+        let capacity = self
+            .strip_budget(cluster, tile_footprint)
+            .iter()
+            .filter(|(level, _)| *level <= self.lowest_spill)
+            .fold(0u64, |sum, (_, bytes)| sum.saturating_add(*bytes));
+        if strip_footprint > capacity {
+            return Err(AnalysisError::StripDoesNotFit {
+                footprint: strip_footprint,
+                lowest: self.lowest_spill,
+            });
+        }
+        Ok(Admission {
+            tile_footprint,
+            c_strip_order,
+            strip_kind,
+            strip_footprint,
+            reuse_passes,
+        })
+    }
+
+    /// The bytes each spill tier offers the reused strip once the tile's
+    /// own working set is debited, in [`MemLevel::SPILL_ORDER`].
+    fn strip_budget(&self, cluster: ClusterShape, fit: TileFootprint) -> [(MemLevel, u64); 4] {
+        let peer_blocks = cluster.blocks().saturating_sub(1) as u64;
+        // The pool one peer contributes over the fabric is its Cluster-
+        // tier window minus its own working set (peers run the same
+        // kernel). On machines where the window is the peer's whole
+        // scratchpad (H100) this is exactly the peer's free SMEM.
+        let peer_free = self
+            .params
+            .capacity(MemLevel::Dsm)
+            .saturating_sub(fit.smem_working);
+        [
+            (
+                MemLevel::Reg,
+                self.params.reg_bytes_per_sm() - fit.reg_bytes,
+            ),
+            (
+                MemLevel::Smem,
+                self.params.smem_bytes_per_sm() - fit.smem_working,
+            ),
+            // The DSM pool is the aggregated free window of the peer
+            // blocks in the cluster. Strips of peer blocks are disjoint
+            // slices of the same logical tensor, so per-block accounting
+            // against the peer pool does not double-count (see DESIGN.md).
+            (MemLevel::Dsm, peer_blocks * peer_free),
+            (MemLevel::Global, u64::MAX),
+        ]
+    }
+}
+
+/// One block's tile-only resource needs (see
+/// [`DataflowAnalyzer::check_tile`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TileFootprint {
+    /// Register bytes of the larger f32 accumulator tile.
+    reg_bytes: u64,
+    /// Double-buffered streaming working set in SMEM.
+    smem_working: u64,
+}
+
+/// Proof that a candidate passed [`DataflowAnalyzer::admit`], carrying
+/// what the check derived for the analysis that follows.
+#[derive(Debug, Clone, Copy)]
+pub struct Admission {
+    tile_footprint: TileFootprint,
+    c_strip_order: bool,
+    strip_kind: StripKind,
+    strip_footprint: u64,
+    reuse_passes: u64,
 }
 
 #[cfg(test)]

@@ -92,15 +92,49 @@ impl PlanGeometry {
         cluster: ClusterShape,
         tile: BlockTile,
     ) -> Result<Self, PlanError> {
-        let mut grid = [1usize; 4];
-        let mut trips = [1usize; 4];
+        Self::from_unit_counts(Self::unit_counts(dims, cluster, tile)?, schedule)
+    }
+
+    /// The schedule-free half of [`PlanGeometry::derive`]: per dimension
+    /// (canonical M,N,K,L order) the number of `cls_d x blk_d` units
+    /// covering `S_d`. The search walk computes it once per
+    /// (tile, cluster) and shares it across every schedule.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PlanError::Indivisible`] for the first dimension the
+    /// unit does not divide.
+    pub(crate) fn unit_counts(
+        dims: ChainDims,
+        cluster: ClusterShape,
+        tile: BlockTile,
+    ) -> Result<[usize; 4], PlanError> {
+        let mut counts = [0usize; 4];
         for dim in Dim::ALL {
             let size = dims.size(dim);
             let unit = tile.by_index(dim.index()) * cluster.size(dim);
             if unit == 0 || !size.is_multiple_of(unit) {
                 return Err(PlanError::Indivisible { dim, size, unit });
             }
-            let count = size / unit;
+            counts[dim.index()] = size / unit;
+        }
+        Ok(counts)
+    }
+
+    /// The schedule half of [`PlanGeometry::derive`]: spatial dims take
+    /// their unit count as clusters, temporal dims as trips.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PlanError`] when a spatial K or L would span clusters.
+    pub(crate) fn from_unit_counts(
+        counts: [usize; 4],
+        schedule: &LoopSchedule,
+    ) -> Result<Self, PlanError> {
+        let mut grid = [1usize; 4];
+        let mut trips = [1usize; 4];
+        for dim in Dim::ALL {
+            let count = counts[dim.index()];
             if schedule.is_spatial(dim) {
                 grid[dim.index()] = count;
             } else {

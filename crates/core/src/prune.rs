@@ -13,11 +13,19 @@
 //!   remains available).
 //! * **Rule 5 — memory capacity**: accumulators fit registers, the
 //!   streaming working set fits SMEM, and the reused strip fits at or
-//!   above the configured lowest spill tier. Enforced by running the
-//!   [`DataflowAnalyzer`] itself, so the count is exact.
+//!   above the configured lowest spill tier. Enforced by the analyzer's
+//!   own admissibility check ([`DataflowAnalyzer::admit`]), so the count
+//!   is exact.
+//!
+//! The [`CandidateStream`] holds the space after Rules 1–4. Its walk
+//! applies Rule 5 and the residual geometry checks level by level —
+//! per tile, per (tile, cluster), per schedule — so a rejected tile or
+//! cluster never generates its candidates; the search engine, brute
+//! force and [`count_cascade`] all enumerate through it.
 
 use crate::analyzer::DataflowAnalyzer;
 use crate::machine::{MachineDescriptor, MemLevel};
+use crate::plan::PlanGeometry;
 use crate::schedule::LoopSchedule;
 use crate::space;
 use crate::tiling::{hardware_aware_tiles, BlockTile};
@@ -38,6 +46,16 @@ pub struct PruneConfig {
     /// Whether the target implements the TMA atomic `inter_cluster_reduce`
     /// path (Hopper-only; `false` for pre-Hopper baseline policies).
     pub allow_inter_cluster_reduce: bool,
+}
+
+impl PruneConfig {
+    /// A dataflow analyzer enforcing this configuration's spill floor and
+    /// inter-cluster-reduce availability.
+    pub fn analyzer(&self, params: &MachineDescriptor) -> DataflowAnalyzer {
+        DataflowAnalyzer::new(params.clone())
+            .with_lowest_spill(self.lowest_spill)
+            .with_inter_cluster_reduce(self.allow_inter_cluster_reduce)
+    }
 }
 
 impl Default for PruneConfig {
@@ -111,10 +129,11 @@ pub fn schedules_after_rule4(all: &[LoopSchedule]) -> Vec<&LoopSchedule> {
 /// One enumerated candidate, tagged with its position in the stream's
 /// total order.
 ///
-/// `seq` is the index a sequential scan would visit the candidate at;
-/// parallel consumers use it to break cost ties exactly as a sequential
-/// scan would, making multi-threaded search results bit-identical to
-/// single-threaded ones.
+/// `seq` is the candidate's index in the order a nested
+/// `schedules x clusters x tiles` scan would visit it. The search walk
+/// visits candidates tile-major instead, and its workers interleave;
+/// every consumer breaks cost ties by `seq`, which makes search results
+/// independent of visit order and thread count.
 #[derive(Debug, Clone, Copy)]
 pub struct Candidate<'a> {
     /// Position in the stream's total order (`0..stream.len()`).
@@ -128,13 +147,20 @@ pub struct Candidate<'a> {
 }
 
 /// The candidate stream after Rules 1–4: every (schedule, cluster, tile)
-/// triple that survives the cheap structural rules. Rule 5 (and the
-/// residual geometry checks) happen in the analyzer.
+/// triple that survives the cheap structural rules. Rule 5 and the
+/// residual geometry checks are the analyzer's admissibility check.
 ///
-/// The stream is *randomly addressable*: [`CandidateStream::get`]
-/// materialises the candidate at any position of the total order, so
-/// disjoint index ranges can be iterated by different worker threads
-/// without coordination (see [`CandidateStream::range`]).
+/// Two views of the same space:
+///
+/// * the **total order** — [`CandidateStream::get`] materialises the
+///   candidate at any position and [`CandidateStream::iter`] scans them
+///   all, naively;
+/// * the **walk** — [`CandidateStream::walk_tile`] visits the
+///   *admissible* candidates of one tile tuple, rejecting whole
+///   subspaces before generating them: a tile that breaks a register or
+///   SMEM limit skips all its clusters and schedules, and a
+///   (tile, cluster) pair that does not divide the problem skips all its
+///   schedules. Tile tuples are the unit of work search workers claim.
 pub struct CandidateStream<'a> {
     /// Surviving schedules (borrowed from the caller's full list).
     pub schedules: Vec<&'a LoopSchedule>,
@@ -162,9 +188,7 @@ impl<'a> CandidateStream<'a> {
 
     /// Candidates in the stream (product of the component counts).
     pub fn len(&self) -> u64 {
-        self.schedules.len() as u64
-            * self.clusters.len() as u64
-            * self.tiles.iter().map(|t| t.len() as u64).product::<u64>()
+        self.schedules.len() as u64 * self.clusters.len() as u64 * self.tile_count()
     }
 
     /// `true` when no candidate survives the structural rules.
@@ -172,49 +196,54 @@ impl<'a> CandidateStream<'a> {
         self.len() == 0
     }
 
+    /// Tile tuples `(bm, bn, bk, bl)` in the stream — the innermost four
+    /// components of the total order.
+    pub fn tile_count(&self) -> u64 {
+        self.tiles.iter().map(|t| t.len() as u64).product()
+    }
+
+    /// The tile tuple at index `t` of `0..tile_count()`, `bl` fastest.
+    fn tile_at(&self, t: u64) -> BlockTile {
+        let mut rest = t;
+        let mut pick = |choices: &[usize]| -> usize {
+            let d = (rest % choices.len() as u64) as usize;
+            rest /= choices.len() as u64;
+            choices[d]
+        };
+        let bl = pick(&self.tiles[3]);
+        let bk = pick(&self.tiles[2]);
+        let bn = pick(&self.tiles[1]);
+        let bm = pick(&self.tiles[0]);
+        BlockTile::new(bm, bn, bk, bl)
+    }
+
     /// The candidate at position `seq` of the total order, or `None` past
     /// the end. The order matches a nested loop over
     /// `schedules x clusters x tiles_m x tiles_n x tiles_k x tiles_l`,
-    /// innermost last — the order [`CandidateStream::for_each`] visits.
+    /// innermost last — the order [`CandidateStream::iter`] visits.
     pub fn get(&self, seq: u64) -> Option<Candidate<'a>> {
         if seq >= self.len() {
             return None;
         }
-        let mut rest = seq;
-        let mut digit = |radix: usize| -> usize {
-            let d = (rest % radix as u64) as usize;
-            rest /= radix as u64;
-            d
-        };
-        // Innermost (fastest-varying) component first.
-        let bl = self.tiles[3][digit(self.tiles[3].len())];
-        let bk = self.tiles[2][digit(self.tiles[2].len())];
-        let bn = self.tiles[1][digit(self.tiles[1].len())];
-        let bm = self.tiles[0][digit(self.tiles[0].len())];
-        let cluster = self.clusters[digit(self.clusters.len())];
-        let schedule = self.schedules[digit(self.schedules.len())];
+        let tiles = self.tile_count();
+        let clusters = self.clusters.len() as u64;
+        let tile = self.tile_at(seq % tiles);
+        let cluster = self.clusters[(seq / tiles % clusters) as usize];
+        let schedule = self.schedules[(seq / tiles / clusters) as usize];
         Some(Candidate {
             seq,
             schedule,
             cluster,
-            tile: BlockTile::new(bm, bn, bk, bl),
+            tile,
         })
     }
 
     /// Iterates the whole stream in total order.
     pub fn iter(&self) -> CandidateIter<'a, '_> {
-        self.range(0, self.len())
-    }
-
-    /// Iterates the half-open index range `[start, end)` of the total
-    /// order (clamped to the stream length) — the unit of work a search
-    /// worker thread claims.
-    pub fn range(&self, start: u64, end: u64) -> CandidateIter<'a, '_> {
-        let end = end.min(self.len());
         CandidateIter {
             stream: self,
-            next: start.min(end),
-            end,
+            next: 0,
+            end: self.len(),
         }
     }
 
@@ -225,6 +254,60 @@ impl<'a> CandidateStream<'a> {
             if !f(c.schedule, c.cluster, c.tile) {
                 return;
             }
+        }
+    }
+
+    /// Visits every candidate of tile tuple `t` (`0..tile_count()`) that
+    /// `analyzer` admits ([`DataflowAnalyzer::admit`]), clusters outer,
+    /// schedules inner, with the geometry it derived. Candidates it does
+    /// not visit are exactly those `analyzer.analyze` rejects.
+    pub fn walk_tile(
+        &self,
+        chain: &ChainSpec,
+        analyzer: &DataflowAnalyzer,
+        t: u64,
+        mut visit: impl FnMut(Candidate<'a>, &PlanGeometry),
+    ) {
+        let tile = self.tile_at(t);
+        if analyzer.check_tile(chain, tile).is_err() {
+            return;
+        }
+        let tiles = self.tile_count();
+        let clusters = self.clusters.len() as u64;
+        for (c, &cluster) in self.clusters.iter().enumerate() {
+            let Ok(counts) = PlanGeometry::unit_counts(chain.dims(), cluster, tile) else {
+                continue;
+            };
+            for (s, &schedule) in self.schedules.iter().enumerate() {
+                let Ok(geometry) = PlanGeometry::from_unit_counts(counts, schedule) else {
+                    continue;
+                };
+                if analyzer
+                    .admit(chain, schedule, cluster, tile, &geometry)
+                    .is_ok()
+                {
+                    let seq = (s as u64 * clusters + c as u64) * tiles + t;
+                    let candidate = Candidate {
+                        seq,
+                        schedule,
+                        cluster,
+                        tile,
+                    };
+                    visit(candidate, &geometry);
+                }
+            }
+        }
+    }
+
+    /// [`CandidateStream::walk_tile`] over every tile tuple in turn.
+    pub fn walk(
+        &self,
+        chain: &ChainSpec,
+        analyzer: &DataflowAnalyzer,
+        mut visit: impl FnMut(Candidate<'a>, &PlanGeometry),
+    ) {
+        for t in 0..self.tile_count() {
+            self.walk_tile(chain, analyzer, t, &mut visit);
         }
     }
 }
@@ -238,7 +321,7 @@ impl<'a, 's> IntoIterator for &'s CandidateStream<'a> {
     }
 }
 
-/// Iterator over a contiguous index range of a [`CandidateStream`].
+/// Iterator over a [`CandidateStream`] in total order.
 pub struct CandidateIter<'a, 's> {
     stream: &'s CandidateStream<'a>,
     next: u64,
@@ -265,9 +348,9 @@ impl<'a> Iterator for CandidateIter<'a, '_> {
 
 impl ExactSizeIterator for CandidateIter<'_, '_> {}
 
-/// Computes the full Table III cascade for one chain. Rule 5 runs the
-/// analyzer on every surviving candidate, so this is `O(|after_rule4|)`
-/// cheap arithmetic per candidate.
+/// Computes the full Table III cascade for one chain. Rule 5 counts the
+/// candidates the search walk admits — exactly those the analyzer
+/// accepts, without running it.
 pub fn count_cascade(
     chain: &ChainSpec,
     params: &MachineDescriptor,
@@ -281,16 +364,8 @@ pub fn count_cascade(
     let r4 = schedules_after_rule4(&all).len() as u64;
 
     let stream = CandidateStream::build(chain, config, &all);
-    let analyzer = DataflowAnalyzer::new(params.clone())
-        .with_lowest_spill(config.lowest_spill)
-        .with_inter_cluster_reduce(config.allow_inter_cluster_reduce);
     let mut feasible = 0u64;
-    stream.for_each(|schedule, cluster, tile| {
-        if analyzer.analyze(chain, schedule, cluster, tile).is_ok() {
-            feasible += 1
-        }
-        true
-    });
+    stream.walk(chain, &config.analyzer(params), |_, _| feasible += 1);
 
     PruneStats {
         initial: space::initial_space_size(dims),

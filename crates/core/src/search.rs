@@ -3,32 +3,46 @@
 //! `EnumerateAllCandidates -> PruneCandidates -> DataflowAnalyzer ->
 //! CalculateCost -> UpdateTopKList -> ProfileBestFromList`.
 //!
-//! The engine ranks every candidate surviving Rules 1–4 with the
-//! analytical cost model, keeps the best `K` (the paper selects `K = 11`
-//! from Fig. 12b), and then asks a [`PlanProfiler`] — the simulator — to
-//! measure those finalists and pick the winner.
+//! The engine ranks every feasible candidate with the analytical cost
+//! model, keeps the best `K` (the paper selects `K = 11` from Fig. 12b),
+//! and then asks a [`PlanProfiler`] — the simulator — to measure those
+//! finalists and pick the winner.
+//!
+//! # The walk
+//!
+//! Candidates are not generated one by one from the
+//! [`CandidateStream`]'s total order. The engine walks the space tile
+//! → cluster → schedule ([`CandidateStream::walk_tile`]): a tile that
+//! breaks a register or SMEM limit rejects all of its cluster x schedule
+//! candidates at once, and a (tile, cluster) pair that does not divide
+//! the problem rejects all of its schedules. Only the survivors get a
+//! [`PlanGeometry`], the analyzer's admissibility check and — if they
+//! pass — the prefilter and a full analysis. [`SearchStats::feasible`]
+//! counts every admitted candidate, so it is exact and equals the Table
+//! III Rule 5 count ([`crate::prune::count_cascade`]).
 //!
 //! # Parallel ranking
 //!
-//! Candidate evaluation is embarrassingly parallel: each candidate is a
-//! pure function of `(chain, schedule, cluster, tile)`. The engine
-//! therefore shards the [`CandidateStream`]'s total order across worker
-//! threads (a shared atomic block queue for load balance), giving every
-//! worker its own [`DataflowAnalyzer`] and [`CostModel`], and merges the
-//! per-worker bounded top-K buffers at the end. Ties in analytical cost
-//! are broken by the candidate's position in the stream's total order
-//! (`Candidate::seq`), so the merged result is **bit-identical** to a
-//! single-threaded scan regardless of thread count — see
+//! Each candidate is a pure function of `(chain, schedule, cluster,
+//! tile)`. Workers claim tile tuples from one shared atomic counter, each
+//! with its own [`DataflowAnalyzer`] and [`CostModel`], and the
+//! per-worker bounded top-K buffers are merged at the end. Every
+//! comparison orders by `(est, seq)` — cost first, then the candidate's
+//! position in the stream's total order (`Candidate::seq`) — so the
+//! merged result is the exact top-K of the whole space under that order,
+//! **bit-identical** for every thread count and visit order — see
 //! [`SearchConfig::threads`].
 //!
 //! # Lower-bound prefilter
 //!
 //! Before running the (comparatively expensive) dataflow analysis, the
-//! engine computes [`CostModel::lower_bound`] — an admissible bound from
-//! the plan geometry alone. Once a worker's top-K buffer is full, any
-//! candidate whose bound cannot beat the buffer's worst entry is skipped
-//! outright. Because the bound never exceeds the true cost, the skip can
-//! never evict a would-be finalist: results with the prefilter on are
+//! engine computes [`CostModel::lower_bound_for`] — an admissible bound
+//! from the plan geometry alone. Once a worker's top-K buffer is full, a
+//! candidate is skipped when even its bound orders after the buffer's
+//! worst entry under `(est, seq)`. Ties on the bound are decided by
+//! `seq`, because the walk does not visit candidates in `seq` order.
+//! Because the bound never exceeds the true cost, the skip can never
+//! evict a would-be finalist: results with the prefilter on are
 //! identical to results with it off ([`SearchConfig::prefilter`];
 //! [`SearchConfig::prefilter_relax`] is the escape hatch should the cost
 //! model and the bound ever drift apart).
@@ -38,17 +52,13 @@ use crate::cost::{CostBreakdown, CostModel};
 use crate::machine::{MachineDescriptor, MemLevel};
 use crate::plan::PlanGeometry;
 use crate::profiler::{PlanProfiler, ProfileOutcome};
-use crate::prune::{CandidateStream, PruneConfig};
+use crate::prune::{Candidate, CandidateStream, PruneConfig};
 use crate::schedule::LoopSchedule;
-use flashfuser_graph::{ChainSpec, Dim};
+use flashfuser_graph::ChainSpec;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// Candidates claimed per queue pop: small enough for load balance,
-/// large enough that the atomic is cold.
-const WORK_BLOCK: u64 = 512;
 
 /// Search-engine configuration.
 #[derive(Debug, Clone)]
@@ -63,14 +73,14 @@ pub struct SearchConfig {
     /// value — parallel merges are deterministic.
     pub threads: usize,
     /// Skip dataflow analysis for candidates whose admissible cost lower
-    /// bound ([`CostModel::lower_bound`]) cannot beat the current top-K
+    /// bound ([`CostModel::lower_bound`]) orders after the current top-K
     /// worst. Provably never changes the search result; on by default.
     pub prefilter: bool,
     /// Relaxation factor in `(0, 1]` applied to the lower bound before
     /// the skip comparison — the escape hatch if the cost model evolves
     /// ahead of the bound. `1.0` (default) trusts the bound fully;
     /// smaller values prune more conservatively; `0.0` disables pruning
-    /// while still skipping geometrically infeasible candidates.
+    /// while the walk still skips infeasible candidates.
     pub prefilter_relax: f64,
 }
 
@@ -161,15 +171,18 @@ pub struct RankedPlan {
 /// Search statistics (feeds Tables III and VIII).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SearchStats {
-    /// Candidates that reached the analyzer (survived Rules 1–4).
+    /// Candidates in the stream after Rules 1–4 (`CandidateStream::len`).
     pub considered: u64,
-    /// Candidates that analyzed successfully (survived Rule 5).
-    /// With the prefilter on, candidates skipped by the bound are *not*
-    /// analyzed and therefore not counted here.
+    /// Candidates the analyzer accepts (survived Rule 5) — every one the
+    /// walk admits, whether or not the prefilter then skipped it. Exact:
+    /// the same for every thread count and equal to
+    /// [`crate::prune::count_cascade`]'s `after_rule5`.
     pub feasible: u64,
-    /// Candidates skipped by the lower-bound prefilter (all of them
-    /// provably unable to enter the top-K). The exact count depends on
-    /// scan interleaving and is not stable across thread counts.
+    /// Feasible candidates skipped by the lower-bound prefilter (all of
+    /// them provably unable to enter the top-K). The count depends on
+    /// how fast each worker's threshold tightens, so it varies with
+    /// thread count and scan interleaving; it never enters a plan
+    /// record.
     pub prefiltered: u64,
     /// Worker threads used for ranking.
     pub threads: usize,
@@ -253,6 +266,16 @@ fn orders_before(a_est: f64, a_seq: u64, b_est: f64, b_seq: u64) -> bool {
     a_est < b_est || (a_est == b_est && a_seq < b_seq)
 }
 
+/// The prefilter's test: `false` only when a candidate whose estimate is
+/// at least `bound` provably orders after `worst` — so it cannot enter
+/// a full top-K buffer whose last entry is `worst`. Ties on the bound
+/// are decided by `seq` like every other comparison: the walk is not in
+/// `seq` order, so a candidate with `est == bound == worst.est` and a
+/// smaller `seq` must still enter.
+fn can_enter(bound: f64, seq: u64, worst: &Scored) -> bool {
+    orders_before(bound, seq, worst.est, worst.seq)
+}
+
 /// Inserts `s` into the sorted bounded buffer `top` (capacity `k`).
 fn push_top_k(top: &mut Vec<Scored>, k: usize, s: Scored) {
     if top.len() == k {
@@ -274,7 +297,6 @@ type BruteShard = (Option<(f64, u64, RankedPlan)>, u64);
 /// One ranking worker's output.
 struct RankShard {
     top: Vec<Scored>,
-    considered: u64,
     feasible: u64,
     prefiltered: u64,
 }
@@ -375,8 +397,8 @@ impl SearchEngine {
     ) -> Result<(RankedPlan, u64), SearchError> {
         let all = LoopSchedule::enumerate_all();
         let stream = CandidateStream::build(chain, &config.prune, &all);
-        let threads = worker_count(config, stream.len());
-        let queue = AtomicU64::new(0);
+        let threads = worker_count(config, &stream);
+        let next_tile = AtomicU64::new(0);
 
         let forks: Option<Vec<Box<dyn PlanProfiler + Send>>> = if threads > 1 {
             (0..threads).map(|_| profiler.fork()).collect()
@@ -386,21 +408,8 @@ impl SearchEngine {
 
         let (best, profiled) = match forks {
             Some(forks) => {
-                let shards: Vec<BruteShard> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = forks
-                        .into_iter()
-                        .map(|mut fork| {
-                            let stream = &stream;
-                            let queue = &queue;
-                            scope.spawn(move || {
-                                self.brute_shard(chain, config, stream, queue, fork.as_mut())
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("brute-force worker panicked"))
-                        .collect()
+                let shards = fan_out(forks, |mut fork| {
+                    self.brute_shard(chain, config, &stream, &next_tile, fork.as_mut())
                 });
                 let mut best: Option<(f64, u64, RankedPlan)> = None;
                 let mut profiled = 0u64;
@@ -418,56 +427,49 @@ impl SearchEngine {
                 }
                 (best, profiled)
             }
-            None => self.brute_shard(chain, config, &stream, &queue, profiler),
+            None => self.brute_shard(chain, config, &stream, &next_tile, profiler),
         };
         best.map(|(_, _, plan)| (plan, profiled))
             .ok_or(SearchError::NoFeasiblePlan)
     }
 
-    /// Drains the brute-force work queue on one thread: analyze, profile,
-    /// keep the best `(seconds, seq)`.
+    /// Claims tile tuples until the walk is exhausted, analyzing and
+    /// profiling every admitted candidate; keeps the best
+    /// `(seconds, seq)`.
     fn brute_shard(
         &self,
         chain: &ChainSpec,
         config: &SearchConfig,
         stream: &CandidateStream<'_>,
-        queue: &AtomicU64,
+        next_tile: &AtomicU64,
         profiler: &mut dyn PlanProfiler,
     ) -> BruteShard {
-        let analyzer = self.analyzer_for(&config.prune);
+        let analyzer = config.prune.analyzer(&self.params);
         let cost_model = CostModel::new(self.params.clone());
-        let total = stream.len();
         let mut best: Option<(f64, u64, RankedPlan)> = None;
         let mut profiled = 0u64;
-        loop {
-            let start = queue.fetch_add(WORK_BLOCK, Ordering::Relaxed);
-            if start >= total {
-                break;
-            }
-            for cand in stream.range(start, start + WORK_BLOCK) {
-                if let Ok(analysis) =
-                    analyzer.analyze(chain, cand.schedule, cand.cluster, cand.tile)
-                {
-                    let outcome = profiler.profile(analysis.plan());
-                    profiled += 1;
-                    let better = best.as_ref().is_none_or(|(bs, bq, _)| {
-                        orders_before(outcome.seconds, cand.seq, *bs, *bq)
-                    });
-                    if better {
-                        let cost = cost_model.evaluate(&analysis);
-                        best = Some((
-                            outcome.seconds,
-                            cand.seq,
-                            RankedPlan {
-                                est_seconds: cost.est_s,
-                                cost,
-                                analysis,
-                                measured: Some(outcome),
-                            },
-                        ));
-                    }
+        while let Some(t) = claim_tile(next_tile, stream) {
+            stream.walk_tile(chain, &analyzer, t, |cand, geometry| {
+                let analysis = analyze_admitted(&analyzer, chain, cand, geometry);
+                let outcome = profiler.profile(analysis.plan());
+                profiled += 1;
+                let better = best
+                    .as_ref()
+                    .is_none_or(|(bs, bq, _)| orders_before(outcome.seconds, cand.seq, *bs, *bq));
+                if better {
+                    let cost = cost_model.evaluate(&analysis);
+                    best = Some((
+                        outcome.seconds,
+                        cand.seq,
+                        RankedPlan {
+                            est_seconds: cost.est_s,
+                            cost,
+                            analysis,
+                            measured: Some(outcome),
+                        },
+                    ));
                 }
-            }
+            });
         }
         (best, profiled)
     }
@@ -483,40 +485,25 @@ impl SearchEngine {
         let all = LoopSchedule::enumerate_all();
         let stream = CandidateStream::build(chain, &config.prune, &all);
         let k = config.top_k.max(1);
-        let threads = worker_count(config, stream.len());
-        let queue = AtomicU64::new(0);
-
-        let shards: Vec<RankShard> = if threads > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        let stream = &stream;
-                        let queue = &queue;
-                        scope.spawn(move || self.rank_shard(chain, config, stream, queue, k))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("ranking worker panicked"))
-                    .collect()
-            })
-        } else {
-            vec![self.rank_shard(chain, config, &stream, &queue, k)]
-        };
+        let threads = worker_count(config, &stream);
+        let next_tile = AtomicU64::new(0);
+        let shards = fan_out(vec![(); threads], |()| {
+            self.rank_shard(chain, config, &stream, &next_tile, k)
+        });
 
         let mut stats = SearchStats {
+            considered: stream.len(),
             threads,
             ..SearchStats::default()
         };
         let mut merged: Vec<Scored> = Vec::with_capacity(k * shards.len());
         for shard in shards {
-            stats.considered += shard.considered;
             stats.feasible += shard.feasible;
             stats.prefiltered += shard.prefiltered;
             merged.extend(shard.top);
         }
         // The deterministic merge: global order is (est, seq); each shard
-        // already holds the best k of its slice under that order.
+        // already holds the best k of its tiles under that order.
         merged.sort_by(|a, b| a.est.total_cmp(&b.est).then_with(|| a.seq.cmp(&b.seq)));
         merged.truncate(k);
         let top_k = merged
@@ -532,93 +519,52 @@ impl SearchEngine {
         (top_k, stats)
     }
 
-    /// Drains the ranking work queue on one thread with its own analyzer
-    /// and cost model.
+    /// Claims tile tuples until the walk is exhausted, ranking their
+    /// admitted candidates on one thread with its own analyzer and cost
+    /// model.
     fn rank_shard(
         &self,
         chain: &ChainSpec,
         config: &SearchConfig,
         stream: &CandidateStream<'_>,
-        queue: &AtomicU64,
+        next_tile: &AtomicU64,
         k: usize,
     ) -> RankShard {
-        let analyzer = self.analyzer_for(&config.prune);
+        let analyzer = config.prune.analyzer(&self.params);
         let cost_model = CostModel::new(self.params.clone());
-        let total = stream.len();
         let mut shard = RankShard {
             top: Vec::with_capacity(k + 1),
-            considered: 0,
             feasible: 0,
             prefiltered: 0,
         };
-        loop {
-            let start = queue.fetch_add(WORK_BLOCK, Ordering::Relaxed);
-            if start >= total {
-                break;
-            }
-            for cand in stream.range(start, start + WORK_BLOCK) {
-                shard.considered += 1;
-                let analyzed = if config.prefilter {
-                    // Derive the geometry once; the bound and the
-                    // analyzer share it.
-                    let Ok(geometry) =
-                        PlanGeometry::derive(chain.dims(), cand.schedule, cand.cluster, cand.tile)
-                    else {
-                        continue;
-                    };
-                    // Rule 3 (temporal face): the analyzer would reject
-                    // it; skip the allocation-heavy call.
-                    if !cand.schedule.is_spatial(Dim::K)
-                        && cand.schedule.innermost_temporal() != Some(Dim::K)
-                    {
-                        continue;
+        while let Some(t) = claim_tile(next_tile, stream) {
+            stream.walk_tile(chain, &analyzer, t, |cand, geometry| {
+                // Every admitted candidate counts, skipped or not: the
+                // count is a property of the space, not of the scan.
+                shard.feasible += 1;
+                if config.prefilter && shard.top.len() == k {
+                    let lb = cost_model.lower_bound_for(chain, geometry, cand.cluster, cand.tile);
+                    let worst = shard.top.last().expect("k >= 1");
+                    if !can_enter(lb * config.prefilter_relax, cand.seq, worst) {
+                        shard.prefiltered += 1;
+                        return;
                     }
-                    if shard.top.len() == k {
-                        let lb =
-                            cost_model.lower_bound_for(chain, &geometry, cand.cluster, cand.tile);
-                        let worst = shard.top.last().expect("k >= 1");
-                        // Admissible: est >= lb, so lb >= worst means the
-                        // candidate cannot enter this shard's top-K (nor,
-                        // a fortiori, the merged global top-K).
-                        if lb * config.prefilter_relax >= worst.est {
-                            shard.prefiltered += 1;
-                            continue;
-                        }
-                    }
-                    analyzer.analyze_with_geometry(
-                        chain,
-                        cand.schedule,
-                        cand.cluster,
-                        cand.tile,
-                        geometry,
-                    )
-                } else {
-                    analyzer.analyze(chain, cand.schedule, cand.cluster, cand.tile)
-                };
-                if let Ok(analysis) = analyzed {
-                    shard.feasible += 1;
-                    let cost = cost_model.evaluate(&analysis);
-                    push_top_k(
-                        &mut shard.top,
-                        k,
-                        Scored {
-                            est: cost.est_s,
-                            seq: cand.seq,
-                            cost,
-                            analysis,
-                        },
-                    );
                 }
-            }
+                let analysis = analyze_admitted(&analyzer, chain, cand, geometry);
+                let cost = cost_model.evaluate(&analysis);
+                push_top_k(
+                    &mut shard.top,
+                    k,
+                    Scored {
+                        est: cost.est_s,
+                        seq: cand.seq,
+                        cost,
+                        analysis,
+                    },
+                );
+            });
         }
         shard
-    }
-
-    /// An analyzer configured like the given pruning config.
-    fn analyzer_for(&self, prune: &PruneConfig) -> DataflowAnalyzer {
-        DataflowAnalyzer::new(self.params.clone())
-            .with_lowest_spill(prune.lowest_spill)
-            .with_inter_cluster_reduce(prune.allow_inter_cluster_reduce)
     }
 }
 
@@ -630,13 +576,49 @@ pub fn available_threads() -> usize {
 }
 
 /// Resolves the worker count for a stream: the configured thread count,
-/// capped so no worker would start without work.
-fn worker_count(config: &SearchConfig, candidates: u64) -> usize {
-    let max_useful = candidates.div_ceil(WORK_BLOCK).max(1);
+/// capped so no worker would start without a tile tuple to claim.
+fn worker_count(config: &SearchConfig, stream: &CandidateStream<'_>) -> usize {
     config
         .effective_threads()
-        .min(usize::try_from(max_useful).unwrap_or(usize::MAX))
+        .min(usize::try_from(stream.tile_count()).unwrap_or(usize::MAX))
         .max(1)
+}
+
+/// Claims the next unwalked tile tuple, or `None` once all are taken.
+fn claim_tile(next_tile: &AtomicU64, stream: &CandidateStream<'_>) -> Option<u64> {
+    let t = next_tile.fetch_add(1, Ordering::Relaxed);
+    (t < stream.tile_count()).then_some(t)
+}
+
+/// Runs the dataflow analysis of a candidate the walk admitted.
+fn analyze_admitted(
+    analyzer: &DataflowAnalyzer,
+    chain: &ChainSpec,
+    cand: Candidate<'_>,
+    geometry: &PlanGeometry,
+) -> DataflowAnalysis {
+    analyzer
+        .analyze_with_geometry(chain, cand.schedule, cand.cluster, cand.tile, *geometry)
+        .expect("the walk admits only candidates the analyzer accepts")
+}
+
+/// Runs `work` once per input — on scoped worker threads when there is
+/// more than one — and returns the outputs in input order.
+fn fan_out<I: Send, T: Send>(inputs: Vec<I>, work: impl Fn(I) -> T + Sync) -> Vec<T> {
+    if inputs.len() <= 1 {
+        return inputs.into_iter().map(work).collect();
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = inputs
+            .into_iter()
+            .map(|input| scope.spawn(move || work(input)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("search worker panicked"))
+            .collect()
+    })
 }
 
 /// Profiles every finalist, in rank order, forking the profiler across
@@ -653,40 +635,17 @@ fn profile_all(
             (0..threads).map(|_| profiler.fork()).collect();
         if let Some(forks) = forks {
             let chunk = top_k.len().div_ceil(threads);
-            let shards: Vec<(usize, Vec<ProfileOutcome>, u64)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = forks
-                    .into_iter()
-                    .zip(top_k.chunks(chunk))
-                    .enumerate()
-                    .map(|(i, (mut fork, plans))| {
-                        scope.spawn(move || {
-                            let outcomes: Vec<ProfileOutcome> = plans
-                                .iter()
-                                .map(|p| fork.profile(p.analysis.plan()))
-                                .collect();
-                            let n = outcomes.len() as u64;
-                            (i * chunk, outcomes, n)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("profiling worker panicked"))
-                    .collect()
+            let work: Vec<_> = forks.into_iter().zip(top_k.chunks(chunk)).collect();
+            let shards = fan_out(work, |(mut fork, plans)| {
+                plans
+                    .iter()
+                    .map(|p| fork.profile(p.analysis.plan()))
+                    .collect::<Vec<_>>()
             });
-            let mut outcomes = vec![
-                ProfileOutcome {
-                    seconds: f64::INFINITY,
-                    global_bytes: 0,
-                    dsm_bytes: 0,
-                };
-                top_k.len()
-            ];
-            for (offset, shard, profiled) in shards {
-                profiler.join(profiled);
-                for (j, o) in shard.into_iter().enumerate() {
-                    outcomes[offset + j] = o;
-                }
+            let mut outcomes = Vec::with_capacity(top_k.len());
+            for shard in shards {
+                profiler.join(shard.len() as u64);
+                outcomes.extend(shard);
             }
             return outcomes;
         }
@@ -838,5 +797,63 @@ mod tests {
             on.stats().prefiltered > 0,
             "prefilter should fire on this chain"
         );
+    }
+    #[test]
+    fn prefilter_keeps_a_tied_candidate_with_a_smaller_seq() {
+        // On a DSM-less target every plan of a small cube chain is a
+        // single block with no communication: compute-bound, zero
+        // latency, so its estimate equals its lower bound and hundreds
+        // of candidates tie exactly. The walk is tile-major, so the
+        // first K it admits are not the K smallest `seq`s; every later
+        // candidate ties the full buffer's worst on cost (`lb == est ==
+        // worst.est`) and must still enter when its `seq` is smaller.
+        let params = MachineDescriptor::a100_sxm();
+        let chain = ChainSpec::standard_ffn(64, 64, 64, 64, Activation::Relu);
+        let config = SearchConfig {
+            threads: 1,
+            ..SearchConfig::smem_only()
+        };
+        let engine = SearchEngine::new(params.clone());
+        let on = engine.search(&chain, &config).unwrap();
+        let cost_model = CostModel::new(params.clone());
+        let tied = on.top_k()[0].est_seconds;
+        for p in on.top_k() {
+            let plan = p.analysis.plan();
+            let geometry = plan.geometry;
+            let lb = cost_model.lower_bound_for(&chain, &geometry, plan.cluster, plan.tile);
+            assert_eq!(p.est_seconds, tied, "the whole top-K ties on cost");
+            assert_eq!(lb, p.est_seconds, "and on the lower bound");
+        }
+
+        // The survivors are the K smallest `seq`s the walk admits — the
+        // tie-break a seq-ordered scan applies — not the first K visited.
+        let all = LoopSchedule::enumerate_all();
+        let stream = CandidateStream::build(&chain, &config.prune, &all);
+        let analyzer = config.prune.analyzer(&params);
+        let mut visited = Vec::new();
+        stream.walk(&chain, &analyzer, |cand, _| visited.push(cand.seq));
+        let mut smallest = visited.clone();
+        smallest.sort_unstable();
+        smallest.truncate(config.top_k);
+        assert_ne!(
+            visited[..config.top_k],
+            smallest[..],
+            "visit order must differ"
+        );
+        for (p, seq) in on.top_k().iter().zip(&smallest) {
+            let want = stream.get(*seq).unwrap();
+            let plan = p.analysis.plan();
+            assert_eq!(
+                (&plan.schedule, plan.cluster, plan.tile),
+                (want.schedule, want.cluster, want.tile)
+            );
+        }
+        assert!(on.stats().prefiltered > 0, "the prefilter must still fire");
+        let off = engine
+            .search(&chain, &config.clone().with_prefilter(false))
+            .unwrap();
+        for (x, y) in on.top_k().iter().zip(off.top_k()) {
+            assert_eq!(x.analysis, y.analysis);
+        }
     }
 }

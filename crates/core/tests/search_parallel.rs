@@ -9,11 +9,15 @@
 //!    prunes a candidate that could have entered the top-K: results with
 //!    the filter on and off are identical, and the bound never exceeds
 //!    the evaluated cost of any feasible candidate.
+//! 3. **Walk fidelity** — the tile-major walk yields each candidate the
+//!    analyzer accepts exactly once, tagged with its position in the
+//!    stream's total order, and nothing else.
 
 use flashfuser_core::profiler::FakeProfiler;
 use flashfuser_core::prune::CandidateStream;
 use flashfuser_core::{
-    CostModel, DataflowAnalyzer, LoopSchedule, MachineDescriptor, SearchConfig, SearchEngine,
+    CostModel, DataflowAnalyzer, LoopSchedule, MachineDescriptor, PlanGeometry, SearchConfig,
+    SearchEngine,
 };
 use flashfuser_graph::ChainSpec;
 use flashfuser_tensor::Activation;
@@ -223,4 +227,36 @@ fn candidate_stream_iteration_matches_for_each_order() {
     assert_eq!(direct.cluster, via_iter.cluster);
     assert_eq!(direct.tile, via_iter.tile);
     assert!(stream.get(stream.len()).is_none());
+}
+
+#[test]
+fn walk_yields_each_accepted_candidate_once_at_its_stream_position() {
+    let all = LoopSchedule::enumerate_all();
+    let analyzer = DataflowAnalyzer::new(MachineDescriptor::h100_sxm());
+    for chain in small_chains() {
+        let stream = CandidateStream::build(&chain, &SearchConfig::default().prune, &all);
+        let mut walked = Vec::new();
+        stream.walk(&chain, &analyzer, |cand, geometry| {
+            let at = stream.get(cand.seq).expect("seq inside the stream");
+            assert_eq!(
+                (at.seq, at.schedule, at.cluster, at.tile),
+                (cand.seq, cand.schedule, cand.cluster, cand.tile)
+            );
+            let derived =
+                PlanGeometry::derive(chain.dims(), cand.schedule, cand.cluster, cand.tile);
+            assert_eq!(derived, Ok(*geometry));
+            walked.push(cand.seq);
+        });
+        walked.sort_unstable();
+        let accepted: Vec<u64> = stream
+            .iter()
+            .filter(|c| {
+                analyzer
+                    .analyze(&chain, c.schedule, c.cluster, c.tile)
+                    .is_ok()
+            })
+            .map(|c| c.seq)
+            .collect();
+        assert_eq!(walked, accepted, "{}", chain.dims());
+    }
 }

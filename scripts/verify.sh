@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate: formatting, lints, rustdoc (warnings
-# fatal), the full test suite, and reduced-mode runs of the search +
-# cache benchmarks. CI runs exactly this script.
+# fatal), the full test suite (on all cores and pinned to one), and
+# reduced-mode runs of the search + cache benchmarks. CI runs exactly
+# this script.
 #
 # Environment knobs (both honored, never hardcoded):
 #   FLASHFUSER_QUICK    1 (default here) = quick bench mode, writes
@@ -31,6 +32,16 @@ cargo check -q --workspace --benches
 
 echo "== cargo test -q (workspace) =="
 cargo test -q --workspace
+
+# Plan records must not depend on the core count: run the suite again
+# with every thread pinned to one core, where search workers interleave
+# differently than on all cores.
+echo "== cargo test -q (workspace, pinned to one core) =="
+if command -v taskset >/dev/null 2>&1; then
+    taskset -c 0 cargo test -q --workspace
+else
+    echo "verify: taskset not found — skipping the single-core test run"
+fi
 
 # Run a bench bin, failing the gate loudly if it panics or exits
 # non-zero (a panicking bench must never look like a pass).

@@ -4,11 +4,16 @@
 //! * for every `gemm_chains()` workload small enough to brute-force, the
 //!   winner is identical with the prefilter on and off, and
 //! * the guided (prefiltered, parallel) search never loses to itself
-//!   run sequentially — plans and measurements agree exactly.
+//!   run sequentially — plans and measurements agree exactly;
+//! * the tile-major walk's top-K equals a naive scan of the stream's
+//!   total order that analyzes every candidate, and the walk's
+//!   admissibility check agrees with the analyzer on every candidate.
 
-use flashfuser::core::{SearchConfig, SearchEngine};
+use flashfuser::core::{
+    CandidateStream, CostModel, FusedPlan, PlanGeometry, SearchConfig, SearchEngine,
+};
 use flashfuser::prelude::*;
-use flashfuser::workloads::gemm_chains;
+use flashfuser::workloads::{gemm_chains, Workload};
 
 /// Candidate-stream ceiling under which brute-forcing a workload stays
 /// cheap enough for CI (the DLRM-class chains G1–G3 qualify).
@@ -16,7 +21,40 @@ const BRUTE_FORCE_CANDIDATE_LIMIT: u64 = 600_000;
 
 fn stream_len(chain: &ChainSpec, config: &SearchConfig) -> u64 {
     let all = LoopSchedule::enumerate_all();
-    flashfuser::core::CandidateStream::build(chain, &config.prune, &all).len()
+    CandidateStream::build(chain, &config.prune, &all).len()
+}
+
+fn workloads(ids: &[&str]) -> Vec<Workload> {
+    gemm_chains()
+        .into_iter()
+        .filter(|w| ids.contains(&w.id))
+        .collect()
+}
+
+/// The reference ranking: scan `stream.iter()` in total order, analyze
+/// and evaluate every candidate, keep the best `k` by `(est, seq)`. No
+/// walk, no admissibility check, no prefilter.
+fn naive_top_k(
+    chain: &ChainSpec,
+    params: &MachineDescriptor,
+    config: &SearchConfig,
+) -> Vec<(f64, FusedPlan)> {
+    let all = LoopSchedule::enumerate_all();
+    let stream = CandidateStream::build(chain, &config.prune, &all);
+    let analyzer = config.prune.analyzer(params);
+    let cost_model = CostModel::new(params.clone());
+    let mut ranked: Vec<(f64, u64, FusedPlan)> = Vec::new();
+    for cand in &stream {
+        if let Ok(a) = analyzer.analyze(chain, cand.schedule, cand.cluster, cand.tile) {
+            ranked.push((cost_model.evaluate(&a).est_s, cand.seq, a.plan().clone()));
+            ranked.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
+            ranked.truncate(config.top_k);
+        }
+    }
+    ranked
+        .into_iter()
+        .map(|(est, _, plan)| (est, plan))
+        .collect()
 }
 
 #[test]
@@ -107,5 +145,57 @@ fn parallel_guided_search_matches_sequential_on_the_simulator() {
             assert_eq!(x.est_seconds, y.est_seconds, "{}", w.id);
             assert_eq!(x.measured.unwrap(), y.measured.unwrap(), "{}", w.id);
         }
+    }
+}
+
+#[test]
+fn walk_top_k_matches_a_naive_scan_on_g1_to_g3_and_g10() {
+    let params = MachineDescriptor::h100_sxm();
+    let engine = SearchEngine::new(params.clone());
+    for w in workloads(&["G1", "G2", "G3", "G10"]) {
+        let reference = naive_top_k(&w.chain, &params, &SearchConfig::default());
+        for threads in [1, 2] {
+            let config = SearchConfig::default().with_threads(threads);
+            let walked = engine.search(&w.chain, &config).unwrap();
+            assert_eq!(walked.top_k().len(), reference.len(), "{}", w.id);
+            for (got, (est, plan)) in walked.top_k().iter().zip(&reference) {
+                assert_eq!(got.est_seconds.to_bits(), est.to_bits(), "{}", w.id);
+                assert_eq!(got.analysis.plan(), plan, "{}", w.id);
+            }
+        }
+    }
+}
+
+#[test]
+fn admissibility_check_agrees_with_the_analyzer_on_every_g1_to_g3_candidate() {
+    let params = MachineDescriptor::h100_sxm();
+    let config = SearchConfig::default();
+    let analyzer = config.prune.analyzer(&params);
+    let all = LoopSchedule::enumerate_all();
+    for w in workloads(&["G1", "G2", "G3"]) {
+        let stream = CandidateStream::build(&w.chain, &config.prune, &all);
+        let mut admitted = 0u64;
+        for cand in &stream {
+            let admits =
+                PlanGeometry::derive(w.chain.dims(), cand.schedule, cand.cluster, cand.tile)
+                    .is_ok_and(|g| {
+                        analyzer
+                            .admit(&w.chain, cand.schedule, cand.cluster, cand.tile, &g)
+                            .is_ok()
+                    });
+            let analyzes = analyzer
+                .analyze(&w.chain, cand.schedule, cand.cluster, cand.tile)
+                .is_ok();
+            assert_eq!(admits, analyzes, "{}: seq {}", w.id, cand.seq);
+            admitted += u64::from(admits);
+        }
+        let mut walked = 0u64;
+        stream.walk(&w.chain, &analyzer, |_, _| walked += 1);
+        assert_eq!(
+            walked, admitted,
+            "{}: the walk visits every admitted candidate",
+            w.id
+        );
+        assert!(admitted > 0, "{}", w.id);
     }
 }
